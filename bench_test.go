@@ -12,7 +12,7 @@ package repro
 
 import (
 	"math/rand"
-	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -38,13 +38,35 @@ import (
 
 const benchThreads = 4
 
-func maxProcs() int { return runtime.GOMAXPROCS(0) }
+// drive runs b.N operations on exactly benchThreads goroutines, one per
+// thread id, which claim iterations from a shared counter. RunParallel is
+// not used: it starts a multiple of GOMAXPROCS workers, so on hosts with
+// more than benchThreads cores two goroutines would share one thread id.
+func drive(b *testing.B, seed int64, op harness.OpFunc) {
+	rngs := make([]*rand.Rand, benchThreads)
+	for id := range rngs {
+		rngs[id] = rand.New(rand.NewSource(int64(id) + seed))
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for id := range rngs {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				op(id, rngs[id])
+			}
+		}(id)
+	}
+	wg.Wait()
+}
 
 // benchSystems is the per-figure comparison set (kept small so a full
 // -bench=. sweep stays tractable; use cmd/parthtm-bench for all six).
 var benchSystems = []string{"HTM-GL", "NOrec", "Part-HTM"}
 
-// runMicro drives ops through the harness on parallel goroutines, one
+// runMicro drives ops through the harness on benchThreads goroutines, one
 // committed transaction per b.N iteration.
 func runMicro(b *testing.B, words int, bind func(sys tm.System) harness.OpFunc) {
 	for _, name := range benchSystems {
@@ -53,18 +75,7 @@ func runMicro(b *testing.B, words int, bind func(sys tm.System) harness.OpFunc) 
 				DataWords: words, Threads: benchThreads, PhysCores: 4, Seed: 1,
 			})
 			op := bind(sys)
-			var ids atomic.Int64
-			b.ResetTimer()
-			// RunParallel spawns GOMAXPROCS*parallelism workers; ask for
-			// benchThreads of them even on a single-core host.
-			b.SetParallelism((benchThreads + maxProcs() - 1) / maxProcs())
-			b.RunParallel(func(pb *testing.PB) {
-				id := int(ids.Add(1)-1) % benchThreads
-				rng := rand.New(rand.NewSource(int64(id) + 42))
-				for pb.Next() {
-					op(id, rng)
-				}
-			})
+			drive(b, 42, op)
 		})
 	}
 }
@@ -206,16 +217,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 			sys := harness.Build("Part-HTM", opts)
 			w := nrmw.New(sys, benchThreads, cfg)
-			var ids atomic.Int64
-			b.ResetTimer()
-			b.SetParallelism((benchThreads + maxProcs() - 1) / maxProcs())
-			b.RunParallel(func(pb *testing.PB) {
-				id := int(ids.Add(1)-1) % benchThreads
-				rng := rand.New(rand.NewSource(int64(id) + 42))
-				for pb.Next() {
-					w.Op(id, rng)
-				}
-			})
+			drive(b, 42, w.Op)
 		})
 	}
 }
@@ -239,16 +241,7 @@ func BenchmarkGovernorOverhead(b *testing.B) {
 			}
 			sys := harness.Build("Part-HTM", opts)
 			w := nrmw.New(sys, benchThreads, cfg)
-			var ids atomic.Int64
-			b.ResetTimer()
-			b.SetParallelism((benchThreads + maxProcs() - 1) / maxProcs())
-			b.RunParallel(func(pb *testing.PB) {
-				id := int(ids.Add(1)-1) % benchThreads
-				rng := rand.New(rand.NewSource(int64(id) + 42))
-				for pb.Next() {
-					w.Op(id, rng)
-				}
-			})
+			drive(b, 42, w.Op)
 		})
 	}
 }
@@ -272,16 +265,7 @@ func BenchmarkProfOverhead(b *testing.B) {
 			}
 			sys := harness.Build("Part-HTM", opts)
 			w := nrmw.New(sys, benchThreads, cfg)
-			var ids atomic.Int64
-			b.ResetTimer()
-			b.SetParallelism((benchThreads + maxProcs() - 1) / maxProcs())
-			b.RunParallel(func(pb *testing.PB) {
-				id := int(ids.Add(1)-1) % benchThreads
-				rng := rand.New(rand.NewSource(int64(id) + 42))
-				for pb.Next() {
-					w.Op(id, rng)
-				}
-			})
+			drive(b, 42, w.Op)
 		})
 	}
 }
@@ -312,16 +296,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 				defer rec.Stop()
 			}
 			w := nrmw.New(sys, benchThreads, cfg)
-			var ids atomic.Int64
-			b.ResetTimer()
-			b.SetParallelism((benchThreads + maxProcs() - 1) / maxProcs())
-			b.RunParallel(func(pb *testing.PB) {
-				id := int(ids.Add(1)-1) % benchThreads
-				rng := rand.New(rand.NewSource(int64(id) + 42))
-				for pb.Next() {
-					w.Op(id, rng)
-				}
-			})
+			drive(b, 42, w.Op)
 		})
 	}
 }
@@ -364,15 +339,7 @@ func benchCoreVariant(b *testing.B, mut func(*core.Config)) {
 		DataWords: ecfg.MemWords(), Threads: benchThreads, PhysCores: 4, Seed: 1, Core: &cfg,
 	})
 	w := eigen.New(sys, benchThreads, ecfg)
-	var ids atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := int(ids.Add(1)-1) % benchThreads
-		rng := rand.New(rand.NewSource(int64(id) + 7))
-		for pb.Next() {
-			w.Op(id, rng)
-		}
-	})
+	drive(b, 7, w.Op)
 }
 
 func BenchmarkAblationValidateEverySub(b *testing.B) {
@@ -418,15 +385,7 @@ func BenchmarkAblationRedoLast(b *testing.B) {
 				Seed: 1, Core: &coreCfg,
 			})
 			w := nrmw.New(sys, benchThreads, cfg)
-			var ids atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				id := int(ids.Add(1)-1) % benchThreads
-				rng := rand.New(rand.NewSource(int64(id) + 3))
-				for pb.Next() {
-					w.Op(id, rng)
-				}
-			})
+			drive(b, 3, w.Op)
 		})
 	}
 }

@@ -68,11 +68,21 @@ type Bench struct {
 	threads int
 	src     mem.Addr
 	dst     mem.Addr
+	workers []worker
+}
+
+// worker is one thread's reusable operation state — its index scratch and
+// the transaction body bound to it — so that Op allocates nothing and the
+// driver's cost is not billed to the TM under test.
+type worker struct {
+	readIdx  []int
+	writeIdx []int
+	body     func(tm.Tx)
 }
 
 // New allocates the arrays in the system's memory and returns the bench.
 // threads is the maximum number of concurrent threads (for the disjoint
-// index partitioning).
+// index partitioning); Op accepts thread ids in [0, threads).
 func New(sys tm.System, threads int, cfg Config) *Bench {
 	m := sys.Memory()
 	b := &Bench{
@@ -81,11 +91,52 @@ func New(sys tm.System, threads int, cfg Config) *Bench {
 		threads: threads,
 		src:     m.AllocAligned(cfg.ArraySize),
 		dst:     m.AllocAligned(cfg.ArraySize),
+		workers: make([]worker, threads),
 	}
 	for i := 0; i < cfg.ArraySize; i++ {
 		m.Store(b.src+mem.Addr(i), uint64(i)+1)
 	}
+	for i := range b.workers {
+		b.bind(&b.workers[i])
+	}
 	return b
+}
+
+// bind builds w's index scratch and its transaction body over it.
+func (b *Bench) bind(w *worker) {
+	pe := b.cfg.PartitionEvery
+	w.readIdx = make([]int, b.cfg.N)
+	if b.cfg.IterMode {
+		// The Figure 3(c) shape: read src[k], compute, write dst[k].
+		work := b.cfg.WorkPerIter
+		w.body = func(x tm.Tx) {
+			for i, k := range w.readIdx {
+				v := x.Read(b.src + mem.Addr(k))
+				x.Work(work)
+				x.Write(b.dst+mem.Addr(k), v+1)
+				if pe > 0 && (i+1)%pe == 0 && i+1 < len(w.readIdx) {
+					x.Pause()
+				}
+			}
+		}
+		return
+	}
+	w.writeIdx = make([]int, b.cfg.M)
+	w.body = func(x tm.Tx) {
+		var acc uint64
+		for i, k := range w.readIdx {
+			acc += x.Read(b.src + mem.Addr(k))
+			if pe > 0 && (i+1)%pe == 0 {
+				x.Pause()
+			}
+		}
+		for i, k := range w.writeIdx {
+			x.Write(b.dst+mem.Addr(k), acc+uint64(i))
+			if pe > 0 && (i+1)%pe == 0 {
+				x.Pause()
+			}
+		}
+	}
 }
 
 // MemWords returns the simulated-memory footprint (words) a Config needs,
@@ -115,48 +166,12 @@ func (b *Bench) indices(thread int, rng *rand.Rand, idx []int) {
 
 // Op executes one transaction on behalf of thread.
 func (b *Bench) Op(thread int, rng *rand.Rand) {
-	if b.cfg.IterMode {
-		b.opIter(thread, rng)
-		return
+	w := &b.workers[thread]
+	b.indices(thread, rng, w.readIdx)
+	if !b.cfg.IterMode {
+		b.indices(thread, rng, w.writeIdx)
 	}
-	readIdx := make([]int, b.cfg.N)
-	writeIdx := make([]int, b.cfg.M)
-	b.indices(thread, rng, readIdx)
-	b.indices(thread, rng, writeIdx)
-	pe := b.cfg.PartitionEvery
-	b.sys.Atomic(thread, func(x tm.Tx) {
-		var acc uint64
-		for i, k := range readIdx {
-			acc += x.Read(b.src + mem.Addr(k))
-			if pe > 0 && (i+1)%pe == 0 {
-				x.Pause()
-			}
-		}
-		for i, k := range writeIdx {
-			x.Write(b.dst+mem.Addr(k), acc+uint64(i))
-			if pe > 0 && (i+1)%pe == 0 {
-				x.Pause()
-			}
-		}
-	})
-}
-
-// opIter is the Figure 3(c) shape: read src[k], compute, write dst[k].
-func (b *Bench) opIter(thread int, rng *rand.Rand) {
-	idx := make([]int, b.cfg.N)
-	b.indices(thread, rng, idx)
-	pe := b.cfg.PartitionEvery
-	w := b.cfg.WorkPerIter
-	b.sys.Atomic(thread, func(x tm.Tx) {
-		for i, k := range idx {
-			v := x.Read(b.src + mem.Addr(k))
-			x.Work(w)
-			x.Write(b.dst+mem.Addr(k), v+1)
-			if pe > 0 && (i+1)%pe == 0 && i+1 < len(idx) {
-				x.Pause()
-			}
-		}
-	})
+	b.sys.Atomic(thread, w.body)
 }
 
 // VerifyDst checks that every written destination slot carries a plausible

@@ -9,6 +9,7 @@ import (
 	"repro/internal/htm"
 	"repro/internal/htmgl"
 	"repro/internal/mem"
+	"repro/internal/seq"
 	"repro/internal/tm"
 )
 
@@ -142,5 +143,22 @@ func TestPartitioningKeepsBigReadSetInHardwarePieces(t *testing.T) {
 	st := sys.Stats().Snapshot()
 	if st.CommitsSW != 1 {
 		t.Fatalf("want partitioned commit, got %+v", st)
+	}
+}
+
+// TestOpAllocatesNothing pins the driver's own cost: on the Sequential
+// system, which allocates nothing itself, an Op of either shape must not
+// allocate, so no per-operation allocation is billed to the TM under test.
+func TestOpAllocatesNothing(t *testing.T) {
+	for _, cfg := range []Config{
+		{ArraySize: 4096, N: 10, M: 10, PartitionEvery: 5},
+		{ArraySize: 4096, N: 20, IterMode: true, WorkPerIter: 1, PartitionEvery: 5},
+	} {
+		sys := seq.New(mem.New(cfg.MemWords()))
+		b := New(sys, 2, cfg)
+		rng := rand.New(rand.NewSource(1))
+		if n := testing.AllocsPerRun(200, func() { b.Op(1, rng) }); n != 0 {
+			t.Errorf("IterMode=%v: %.1f allocs per Op, want 0", cfg.IterMode, n)
+		}
 	}
 }

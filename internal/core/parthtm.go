@@ -1387,18 +1387,22 @@ func (x *tx) Write(a mem.Addr, v uint64) {
 		// write in place (buffered until the sub-HTM commit).
 		old := ht.Read(a)
 		t.undo = append(t.undo, undoRec{addr: a, old: old})
-		t.ds.Write[d].Add(uint32(a))
 		if s.cfg.LockPerWrite {
 			// Ablation: publish the lock bit immediately instead of at the
 			// sub-HTM commit — every touched signature word becomes a false
-			// conflict with all concurrent hardware transactions.
+			// conflict with all concurrent hardware transactions. A bit set
+			// by another transaction is its lock: taking it over would let
+			// our release erase it, so that is a lock conflict.
 			b := sig.HashBit(uint32(a))
 			w := s.doms.Wlocks(d) + mem.Addr(b>>6)
-			cur := ht.Read(w)
-			if cur&(1<<(b&63)) == 0 {
-				ht.Write(w, cur|1<<(b&63))
+			bit := uint64(1) << (b & 63)
+			if cur := ht.Read(w); cur&bit == 0 {
+				ht.Write(w, cur|bit)
+			} else if (t.ds.Write[d][b>>6]|t.ds.Agg[d][b>>6])&bit == 0 {
+				ht.Abort(codeLockConflict)
 			}
 		}
+		t.ds.Write[d].Add(uint32(a))
 		ht.Write(a, v)
 		t.opLog = append(t.opLog, opRec{kind: opWrite, addr: a, val: v})
 		t.ds.Wrote |= 1 << uint(d)

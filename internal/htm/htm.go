@@ -31,6 +31,7 @@ package htm
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -181,6 +182,15 @@ const (
 type entry struct {
 	readers uint64
 	writer  int16 // slot+1; 0 = none
+	widx    int32 // the writer's wbuf index for this line; only the writer reads it
+}
+
+// wline is one buffered written line: word i holds a pending store when bit
+// i of mask is set. Word and whole-line writes share it, so reads see the
+// transaction's own stores in either form.
+type wline struct {
+	vals [mem.LineWords]uint64
+	mask uint8
 }
 
 // Engine is a best-effort HTM bound to one simulated memory.
@@ -287,10 +297,9 @@ type Txn struct {
 	slot   int
 	status atomic.Int32
 
-	writeBuf   map[mem.Addr]uint64
-	writeOrder []mem.Addr
 	readLines  []mem.Line // distinct monitored read lines (deduped by the monitor bit)
 	writeLines []mem.Line // distinct monitored write lines (deduped by the writer field)
+	wbuf       []wline    // the write buffer, parallel to writeLines
 	setOcc     []uint8
 	maxOcc     uint8 // peak set occupancy, tracked for footprint profiling
 	ps         *prof.Shard
@@ -313,11 +322,6 @@ type Txn struct {
 	// capacity model.
 	localCache []mem.Line
 	localLines int
-
-	// Whole-line write buffer (WriteLine). A line must not be written both
-	// word-wise and line-wise within one transaction.
-	lineBuf   map[mem.Line][mem.LineWords]uint64
-	lineOrder []mem.Line
 }
 
 // localCacheSize is the direct-mapped cache used to deduplicate WriteLocal
@@ -340,11 +344,10 @@ func (e *Engine) Begin(slot int) *Txn {
 	t := e.recycled[slot]
 	if t == nil {
 		t = &Txn{
-			eng:      e,
-			slot:     slot,
-			writeBuf: make(map[mem.Addr]uint64, 16),
-			setOcc:   make([]uint8, e.cfg.WriteSets),
-			rng:      e.rngs[slot],
+			eng:    e,
+			slot:   slot,
+			setOcc: make([]uint8, e.cfg.WriteSets),
+			rng:    e.rngs[slot],
 		}
 	} else {
 		e.recycled[slot] = nil
@@ -373,12 +376,9 @@ func (e *Engine) Begin(slot int) *Txn {
 // same slot.
 func (t *Txn) recycle() {
 	t.status.Store(stActive)
-	if len(t.writeBuf) > 0 {
-		clear(t.writeBuf)
-	}
-	t.writeOrder = t.writeOrder[:0]
 	t.readLines = t.readLines[:0]
 	t.writeLines = t.writeLines[:0]
+	t.wbuf = t.wbuf[:0]
 	clear(t.setOcc)
 	t.maxOcc = 0
 	t.cycles = 0
@@ -387,20 +387,21 @@ func (t *Txn) recycle() {
 		clear(t.localCache)
 		t.localLines = 0
 	}
-	if len(t.lineBuf) > 0 {
-		clear(t.lineBuf)
-	}
-	t.lineOrder = t.lineOrder[:0]
 }
 
-// finish tears the transaction down: monitors released, slot freed. It is
-// idempotent so the user-panic escape path cannot double-release.
+// finish tears an aborted transaction down: monitors released, slot freed.
+// It is idempotent so the user-panic escape path cannot double-release.
 func (t *Txn) finish() {
 	if t.finished {
 		return
 	}
-	t.finished = true
 	t.releaseMonitors()
+	t.retire()
+}
+
+// retire frees the slot of a transaction that holds no monitors any more.
+func (t *Txn) retire() {
+	t.finished = true
 	t.eng.slots[t.slot].Store(nil)
 	t.eng.recycled[t.slot] = t
 	t.eng.nActive.Add(-1)
@@ -491,7 +492,7 @@ func (t *Txn) profFinish(outcome uint8) {
 		return
 	}
 	t.ps.RecordFootprint(t.class, outcome,
-		len(t.readLines), len(t.writeLines)+t.localLines, int(t.maxOcc))
+		len(t.readLines), len(t.wbuf)+t.localLines, int(t.maxOcc))
 }
 
 // abort tears the transaction down, records the outcome, and unwinds.
@@ -602,86 +603,90 @@ func doom(victim *Txn) bool {
 func (t *Txn) Read(a mem.Addr) uint64 {
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost)
-	if len(t.writeBuf) > 0 {
-		if v, ok := t.writeBuf[a]; ok {
-			return v
-		}
-	}
-	l := mem.LineOf(a)
-	if len(t.lineBuf) > 0 {
-		if vals, ok := t.lineBuf[l]; ok {
-			return vals[a%mem.LineWords]
-		}
-	}
 	e := t.eng
+	l := mem.LineOf(a)
 	bit := uint64(1) << uint(t.slot)
-	self := int16(t.slot + 1)
 
-	// Fast path: the line is already monitored and carries no foreign
-	// writer — the overwhelmingly common case on re-reads and scans.
+	// Fast path: the line carries no foreign writer — the overwhelmingly
+	// common case on re-reads and scans. A word the transaction already
+	// wrote is served from its write buffer, without a read monitor.
 	e.mem.Lock(l)
 	en := &e.entries[l]
-	if w := en.writer; w == 0 || w == self {
-		first := en.readers&bit == 0
-		en.readers |= bit
-		v := e.mem.RawLoad(a)
-		e.mem.Unlock(l)
-		if first {
-			t.readLines = append(t.readLines, l)
-			t.admitReadLine()
+	if w := en.writer; w == int16(t.slot+1) {
+		if b := &t.wbuf[en.widx]; b.mask&(1<<(a%mem.LineWords)) != 0 {
+			v := b.vals[a%mem.LineWords]
+			e.mem.Unlock(l)
+			return v
 		}
-		return v
+	} else if w != 0 || t.status.Load() == stDoomed {
+		e.mem.Unlock(l)
+		var v [1]uint64
+		t.load(a, v[:])
+		return v[0]
 	}
+	first := en.readers&bit == 0
+	en.readers |= bit
+	v := e.mem.RawLoad(a)
 	e.mem.Unlock(l)
-	return t.readSlow(a, l)
+	if first {
+		t.readLines = append(t.readLines, l)
+		t.admitReadLine()
+	}
+	return v
 }
 
-// readSlow resolves a foreign-writer conflict before reading (requester
-// wins, as a cache-coherence invalidation would).
-func (t *Txn) readSlow(a mem.Addr, l mem.Line) uint64 {
+// load reads the words [a, a+len(out)) of one line into out, resolving a
+// foreign writer first (requester wins, as a cache-coherence invalidation
+// would) and overlaying the transaction's own buffered stores. Words that
+// are all buffered are served without a read monitor.
+func (t *Txn) load(a mem.Addr, out []uint64) {
 	e := t.eng
+	l := mem.LineOf(a)
+	off := uint(a % mem.LineWords)
+	want := uint8((1<<len(out) - 1) << off)
 	bit := uint64(1) << uint(t.slot)
 	for {
+		var own *wline
 		var wait *Txn
-		var v uint64
-		first, done, doomed := false, false, false
+		doomed := false
 		e.mem.Lock(l)
 		en := &e.entries[l]
-		if w := en.writer; w != 0 && int(w-1) != t.slot {
-			other := e.slots[w-1].Load()
-			if other != nil {
-				switch other.status.Load() {
-				case stActive, stDoomed:
-					// Requester wins: invalidate the writer's monitor.
-					if doom(other) {
-						en.writer = 0
-						doomed = true
-					} else {
-						wait = other
-					}
-				case stCommitting:
-					wait = other
-				case stCommitted:
-					// Stale entry; its writes are already published.
-				}
+		if en.writer == int16(t.slot+1) {
+			if own = &t.wbuf[en.widx]; own.mask&want == want {
+				e.mem.Unlock(l)
+				copy(out, own.vals[off:])
+				return
 			}
+		} else if t.status.Load() == stDoomed {
+			// The write monitor may have been stolen with this line's
+			// buffered stores: never read past it, and never doom anyone.
+			e.mem.Unlock(l)
+			t.abort(Conflict, 0)
+		} else {
+			wait, doomed = e.evictWriter(en)
 		}
+		first := false
 		if wait == nil {
 			first = en.readers&bit == 0
 			en.readers |= bit
-			v = e.mem.RawLoad(a)
-			done = true
+			for i := range out {
+				if own != nil && own.mask&(1<<(off+uint(i))) != 0 {
+					out[i] = own.vals[off+uint(i)]
+				} else {
+					out[i] = e.mem.RawLoad(a + mem.Addr(i))
+				}
+			}
 		}
 		e.mem.Unlock(l)
 		if doomed {
 			t.ps.RecordConflict(uint32(l))
 		}
-		if done {
+		if wait == nil {
 			if first {
 				t.readLines = append(t.readLines, l)
 				t.admitReadLine()
 			}
-			return v
+			return
 		}
 		waitNotCommitting(wait)
 		t.checkDoomed()
@@ -721,11 +726,9 @@ func (t *Txn) admitReadLine() {
 func (t *Txn) Write(a mem.Addr, v uint64) {
 	t.checkDoomed()
 	t.step(t.eng.cfg.WriteCost)
-	t.ensureWriteMonitor(mem.LineOf(a))
-	if _, dup := t.writeBuf[a]; !dup {
-		t.writeOrder = append(t.writeOrder, a)
-	}
-	t.writeBuf[a] = v
+	b := t.ensureWriteMonitor(mem.LineOf(a))
+	b.vals[a%mem.LineWords] = v
+	b.mask |= 1 << (a % mem.LineWords)
 }
 
 // WriteLocal performs a transactional store of thread-private data: it
@@ -775,117 +778,48 @@ func (t *Txn) ReadLine(base mem.Addr, out *[mem.LineWords]uint64) {
 	}
 	t.checkDoomed()
 	t.step(t.eng.cfg.ReadCost)
-	l := mem.LineOf(base)
-	if len(t.lineBuf) > 0 {
-		if vals, ok := t.lineBuf[l]; ok {
-			*out = vals
-			return
-		}
-	}
-	e := t.eng
-	bit := uint64(1) << uint(t.slot)
-	self := int16(t.slot + 1)
-	for {
-		var wait *Txn
-		first, done, doomed := false, false, false
-		e.mem.Lock(l)
-		en := &e.entries[l]
-		w := en.writer
-		if w != 0 && w != self {
-			other := e.slots[w-1].Load()
-			if other != nil {
-				switch other.status.Load() {
-				case stActive, stDoomed:
-					if doom(other) {
-						en.writer = 0
-						doomed = true
-					} else {
-						wait = other
-					}
-				case stCommitting:
-					wait = other
-				case stCommitted:
-				}
-			}
-		}
-		if wait == nil {
-			first = en.readers&bit == 0
-			en.readers |= bit
-			for i := 0; i < mem.LineWords; i++ {
-				out[i] = e.mem.RawLoad(base + mem.Addr(i))
-			}
-			done = true
-		}
-		e.mem.Unlock(l)
-		if doomed {
-			t.ps.RecordConflict(uint32(l))
-		}
-		if done {
-			if first {
-				t.readLines = append(t.readLines, l)
-				t.admitReadLine()
-			}
-			return
-		}
-		waitNotCommitting(wait)
-		t.checkDoomed()
-	}
+	t.load(base, out[:])
 }
 
 // WriteLine buffers one whole cache line of writes (base must be line
-// aligned), acquiring the write monitor once. A line written with WriteLine
-// must not also be written word-wise in the same transaction.
+// aligned), acquiring the write monitor once.
 func (t *Txn) WriteLine(base mem.Addr, vals *[mem.LineWords]uint64) {
 	if base%mem.LineWords != 0 {
 		panic("htm: WriteLine of unaligned address")
 	}
 	t.checkDoomed()
 	t.step(t.eng.cfg.WriteCost)
-	l := mem.LineOf(base)
-	t.ensureWriteMonitor(l)
-	if t.lineBuf == nil {
-		t.lineBuf = make(map[mem.Line][mem.LineWords]uint64, 8)
-	}
-	if _, dup := t.lineBuf[l]; !dup {
-		t.lineOrder = append(t.lineOrder, l)
-	}
-	t.lineBuf[l] = *vals
+	b := t.ensureWriteMonitor(mem.LineOf(base))
+	b.vals = *vals
+	b.mask = 1<<mem.LineWords - 1
 }
 
-// ensureWriteMonitor puts line l into the write set: a no-op if already
-// held, otherwise it applies the capacity model and registers the write
-// monitor, dooming conflicting readers and writers (requester wins). One
-// stripe acquisition in the common cases.
-func (t *Txn) ensureWriteMonitor(l mem.Line) {
+// ensureWriteMonitor puts line l into the write set and returns its write
+// buffer: a lookup if already held, otherwise it applies the capacity model
+// and registers the write monitor, dooming conflicting readers and writers
+// (requester wins). One stripe acquisition in the common cases.
+func (t *Txn) ensureWriteMonitor(l mem.Line) *wline {
 	e := t.eng
 	self := int16(t.slot + 1)
 	for {
-		var wait *Txn
-		acquired, overCap := false, false
-		doomed := 0
 		e.mem.Lock(l)
 		en := &e.entries[l]
 		if en.writer == self {
+			i := en.widx
 			e.mem.Unlock(l)
-			return
+			return &t.wbuf[i]
 		}
-		if w := en.writer; w != 0 {
-			other := e.slots[w-1].Load()
-			if other != nil {
-				switch other.status.Load() {
-				case stActive, stDoomed:
-					if doom(other) {
-						en.writer = 0
-						doomed++
-					} else {
-						wait = other
-					}
-				case stCommitting:
-					wait = other
-				case stCommitted:
-				}
-			}
+		if t.status.Load() == stDoomed {
+			// See load: a doomed transaction dooms no one.
+			e.mem.Unlock(l)
+			t.abort(Conflict, 0)
 		}
+		wait, evicted := e.evictWriter(en)
+		doomed := 0
+		if evicted {
+			doomed++
+		}
+		acquired, overCap := false, false
 		if wait == nil {
 			cfg := &e.cfg
 			set := int(uint32(l)) % cfg.WriteSets
@@ -895,28 +829,9 @@ func (t *Txn) ensureWriteMonitor(l mem.Line) {
 				// Abort outside the stripe lock: teardown re-acquires it.
 				overCap = true
 			default:
-				// Doom all other active readers of the line.
-				mask := en.readers &^ (1 << uint(t.slot))
-				for mask != 0 {
-					s := trailingSlot(mask)
-					mask &^= 1 << uint(s)
-					other := e.slots[s].Load()
-					if other == nil {
-						continue
-					}
-					switch other.status.Load() {
-					case stActive, stDoomed:
-						if doom(other) {
-							doomed++
-						}
-						// Bit stays set until the victim cleans up; it is
-						// doomed, so the stale bit is harmless.
-					case stCommitting, stCommitted:
-						// A committing reader serializes before this
-						// writer; its monitor no longer matters.
-					}
-				}
+				doomed += e.doomReaders(en.readers &^ (1 << uint(t.slot)))
 				en.writer = self
+				en.widx = int32(len(t.wbuf))
 				t.setOcc[set]++
 				if t.setOcc[set] > t.maxOcc {
 					t.maxOcc = t.setOcc[set]
@@ -938,7 +853,8 @@ func (t *Txn) ensureWriteMonitor(l mem.Line) {
 		}
 		if acquired {
 			t.writeLines = append(t.writeLines, l)
-			return
+			t.wbuf = append(t.wbuf, wline{})
+			return &t.wbuf[len(t.wbuf)-1]
 		}
 		waitNotCommitting(wait)
 		t.checkDoomed()
@@ -948,6 +864,16 @@ func (t *Txn) ensureWriteMonitor(l mem.Line) {
 // Commit atomically publishes the write buffer (_xend). If the transaction
 // lost a conflict it unwinds with the abort panic instead, exactly like any
 // other transactional operation.
+//
+// Publication and release share one pass that takes every monitored line's
+// stripe exactly once: read lines first (publishing those also written),
+// then the remaining written lines. The commit stays atomic because once
+// the status is stCommitting no monitor can be stolen: a released written
+// line already holds its final value, and every written line not yet
+// released still names this transaction as writer, so readers and writers
+// wait for it in waitNotCommitting (non-transactional accesses retry). A
+// read monitor released early protects nothing any more — a committing
+// transaction can no longer be doomed.
 func (t *Txn) Commit() {
 	t.checkDoomed()
 	if in := t.eng.inj; in != nil {
@@ -959,28 +885,43 @@ func (t *Txn) Commit() {
 		t.abort(Conflict, 0)
 	}
 	e := t.eng
-	for _, l := range t.lineOrder {
-		vals := t.lineBuf[l]
-		base := mem.Addr(l) * mem.LineWords
+	self := int16(t.slot + 1)
+	for _, l := range t.readLines {
 		e.mem.Lock(l)
-		for i := 0; i < mem.LineWords; i++ {
-			e.mem.RawStore(base+mem.Addr(i), vals[i])
+		en := &e.entries[l]
+		en.readers &^= 1 << uint(t.slot)
+		if en.writer == self {
+			t.publish(l, en, &t.wbuf[en.widx])
 		}
 		e.mem.Unlock(l)
 	}
-	for _, a := range t.writeOrder {
-		l := mem.LineOf(a)
-		e.mem.Lock(l)
-		e.mem.RawStore(a, t.writeBuf[a])
-		e.mem.Unlock(l)
+	for i, l := range t.writeLines {
+		if b := &t.wbuf[i]; b.mask != 0 {
+			e.mem.Lock(l)
+			t.publish(l, &e.entries[l], b)
+			e.mem.Unlock(l)
+		}
 	}
 	t.status.Store(stCommitted)
-	t.finish()
+	t.retire()
 	e.stats.Commits.Add(1)
 	t.profFinish(prof.OutcomeCommit)
 }
 
-// releaseMonitors removes this transaction's read and write monitor
+// publish stores a written line's buffered words and drops its write
+// monitor; the caller holds the line's stripe. The cleared mask marks the
+// line as published.
+func (t *Txn) publish(l mem.Line, en *entry, b *wline) {
+	base := mem.Addr(l) * mem.LineWords
+	for m := b.mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros8(m)
+		t.eng.mem.RawStore(base+mem.Addr(i), b.vals[i])
+	}
+	b.mask = 0
+	en.writer = 0
+}
+
+// releaseMonitors removes an aborted transaction's read and write monitor
 // registrations.
 func (t *Txn) releaseMonitors() {
 	e := t.eng
@@ -1017,64 +958,73 @@ func trailingSlot(mask uint64) int {
 	return n
 }
 
+// evictWriter resolves the write monitor on en for a conflicting access by
+// someone other than its holder (requester wins). It dooms an active
+// holder and clears the monitor (evicted), or returns a holder past the
+// point of no return for the caller to wait out. The caller holds the
+// line's stripe.
+func (e *Engine) evictWriter(en *entry) (wait *Txn, evicted bool) {
+	w := en.writer
+	if w == 0 {
+		return nil, false
+	}
+	other := e.slots[w-1].Load()
+	if other == nil {
+		return nil, false
+	}
+	switch other.status.Load() {
+	case stActive, stDoomed:
+		if doom(other) {
+			en.writer = 0
+			return nil, true
+		}
+		return other, false
+	case stCommitting:
+		return other, false
+	}
+	// stCommitted: a stale entry whose writes are already published.
+	return nil, false
+}
+
+// doomReaders dooms every active reader in mask and returns how many it
+// doomed. Their bits stay set until the victims clean up; a doomed
+// reader's stale bit is harmless. A committing reader serializes before
+// the write, so its monitor no longer matters.
+func (e *Engine) doomReaders(mask uint64) int {
+	n := 0
+	for mask != 0 {
+		s := trailingSlot(mask)
+		mask &^= 1 << uint(s)
+		if other := e.slots[s].Load(); other != nil && doom(other) {
+			n++
+		}
+	}
+	return n
+}
+
 // NonTxRead implements mem.Observer: a non-transactional read aborts any
 // hardware transaction holding the line in its write set, or asks the
 // caller to retry if that transaction is mid-commit.
 func (e *Engine) NonTxRead(l mem.Line) (retry bool) {
 	en := &e.entries[l]
-	if w := en.writer; w != 0 {
-		other := e.slots[w-1].Load()
-		if other != nil {
-			switch other.status.Load() {
-			case stActive, stDoomed:
-				if doom(other) {
-					en.writer = 0
-				} else {
-					return true
-				}
-			case stCommitting:
-				return true
-			case stCommitted:
-			}
-		}
+	if en.writer == 0 {
+		return false
 	}
-	return false
+	wait, _ := e.evictWriter(en)
+	return wait != nil
 }
 
 // NonTxWrite implements mem.Observer: a non-transactional write aborts any
 // hardware transaction holding the line in its read or write set.
 func (e *Engine) NonTxWrite(l mem.Line) (retry bool) {
 	en := &e.entries[l]
-	if w := en.writer; w != 0 {
-		other := e.slots[w-1].Load()
-		if other != nil {
-			switch other.status.Load() {
-			case stActive, stDoomed:
-				if doom(other) {
-					en.writer = 0
-				} else {
-					return true
-				}
-			case stCommitting:
-				return true
-			case stCommitted:
-			}
+	if en.writer != 0 {
+		if wait, _ := e.evictWriter(en); wait != nil {
+			return true
 		}
 	}
-	mask := en.readers
-	for mask != 0 {
-		s := trailingSlot(mask)
-		mask &^= 1 << uint(s)
-		other := e.slots[s].Load()
-		if other == nil {
-			continue
-		}
-		switch other.status.Load() {
-		case stActive, stDoomed:
-			doom(other)
-		case stCommitting, stCommitted:
-			// A committing reader serializes before this write.
-		}
+	if en.readers != 0 {
+		e.doomReaders(en.readers)
 	}
 	return false
 }

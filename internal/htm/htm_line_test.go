@@ -3,6 +3,7 @@ package htm
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -275,5 +276,179 @@ func TestConcurrentRecyclingStress(t *testing.T) {
 	wg.Wait()
 	if got := m.Load(a); got != 2400 {
 		t.Fatalf("counter = %d, want 2400", got)
+	}
+}
+
+// TestEntryStays16Bytes pins the monitor table's density: the writer's
+// buffer index rides in the padding after the writer field.
+func TestEntryStays16Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(entry{}); n != 16 {
+		t.Fatalf("entry is %d bytes, want 16", n)
+	}
+}
+
+func TestReadLineSeesOwnWordWrite(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	base := m.AllocLines(1)
+	for i := 0; i < mem.LineWords; i++ {
+		m.Store(base+mem.Addr(i), uint64(100+i))
+	}
+	res := e.Execute(0, func(tx *Txn) {
+		tx.Write(base+3, 42)
+		var out [mem.LineWords]uint64
+		tx.ReadLine(base, &out)
+		for i, v := range out {
+			want := uint64(100 + i)
+			if i == 3 {
+				want = 42
+			}
+			if v != want {
+				t.Errorf("ReadLine word %d = %d, want %d", i, v, want)
+			}
+		}
+	})
+	if !res.Committed {
+		t.Fatalf("abort: %+v", res)
+	}
+}
+
+func TestWriteLineOverridesOwnWordWrite(t *testing.T) {
+	e := newTestEngine(1024, nil)
+	m := e.Memory()
+	base := m.AllocLines(1)
+	vals := [mem.LineWords]uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	res := e.Execute(0, func(tx *Txn) {
+		tx.Write(base+3, 42)
+		tx.WriteLine(base, &vals)
+		if got := tx.Read(base + 3); got != 4 {
+			t.Errorf("read after WriteLine = %d, want 4", got)
+		}
+		tx.Write(base+5, 60) // and a word write after the line write wins
+	})
+	if !res.Committed {
+		t.Fatalf("abort: %+v", res)
+	}
+	want := vals
+	want[5] = 60
+	for i := range want {
+		if got := m.Load(base + mem.Addr(i)); got != want[i] {
+			t.Fatalf("word %d = %d after commit, want %d", i, got, want[i])
+		}
+	}
+}
+
+// TestCommitAtomicityStress runs committers that stamp every word of
+// several lines with one value, mixing Write and WriteLine, against
+// transactional readers (Read and ReadLine) and non-transactional readers.
+// A committed reader must see one stamp everywhere; a non-transactional
+// reader scanning the words in order must never see a stamp older than one
+// it has already seen, which a torn commit would show.
+func TestCommitAtomicityStress(t *testing.T) {
+	const lines = 4
+	e := newTestEngine(1<<12, nil)
+	m := e.Memory()
+	base := m.AllocLines(lines)
+	const words = lines * mem.LineWords
+	const commits = 300
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for slot := 0; slot < 2; slot++ {
+		writers.Add(1)
+		go func(slot int) {
+			defer writers.Done()
+			for i := 0; i < commits; i++ {
+				for {
+					res := e.Execute(slot, func(tx *Txn) {
+						s := tx.Read(base) + 1
+						for l := 0; l < lines; l++ {
+							lb := base + mem.Addr(l*mem.LineWords)
+							if (l+i+slot)%2 == 0 {
+								line := [mem.LineWords]uint64{s, s, s, s, s, s, s, s}
+								tx.Write(lb+1, s-1) // overwritten by the line write
+								tx.WriteLine(lb, &line)
+								continue
+							}
+							for w := 0; w < mem.LineWords; w++ {
+								tx.Write(lb+mem.Addr(w), s)
+							}
+							if got := tx.Read(lb + 2); got != s {
+								t.Errorf("read-own-write = %d, want %d", got, s)
+							}
+						}
+					})
+					if res.Committed {
+						break
+					}
+				}
+			}
+		}(slot)
+	}
+	for slot := 2; slot < 4; slot++ {
+		readers.Add(1)
+		go func(slot int) {
+			defer readers.Done()
+			var seen [words]uint64
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				res := e.Execute(slot, func(tx *Txn) {
+					for l := 0; l < lines; l++ {
+						lb := base + mem.Addr(l*mem.LineWords)
+						if slot%2 == 0 {
+							var out [mem.LineWords]uint64
+							tx.ReadLine(lb, &out)
+							copy(seen[l*mem.LineWords:], out[:])
+							continue
+						}
+						for w := 0; w < mem.LineWords; w++ {
+							seen[l*mem.LineWords+w] = tx.Read(lb + mem.Addr(w))
+						}
+					}
+				})
+				if !res.Committed {
+					continue
+				}
+				for i, v := range seen {
+					if v != seen[0] {
+						t.Errorf("torn commit seen transactionally: word %d = %d, word 0 = %d", i, v, seen[0])
+						return
+					}
+				}
+			}
+		}(slot)
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				var last uint64
+				for i := 0; i < words; i++ {
+					v := m.Load(base + mem.Addr(i))
+					if v < last {
+						t.Errorf("torn commit seen non-transactionally: word %d = %d after %d", i, v, last)
+						return
+					}
+					last = v
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+	for i := 0; i < words; i++ {
+		if got := m.Load(base + mem.Addr(i)); got != 2*commits {
+			t.Fatalf("word %d = %d, want %d", i, got, 2*commits)
+		}
 	}
 }

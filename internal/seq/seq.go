@@ -13,11 +13,16 @@ import (
 type System struct {
 	m     *mem.Memory
 	stats tm.Stats
+	tx    tx // reused by every Atomic: there is only one goroutine
 }
 
 // New creates a sequential executor over m. The memory must not have an HTM
 // engine observer attached (sequential runs use their own pristine memory).
-func New(m *mem.Memory) *System { return &System{m: m} }
+func New(m *mem.Memory) *System {
+	s := &System{m: m}
+	s.tx.s = s
+	return s
+}
 
 // Name implements tm.System.
 func (s *System) Name() string { return "Sequential" }
@@ -45,6 +50,7 @@ func (x *tx) NonTxWork(c int64)               { tm.Spin(c) }
 
 // Atomic implements tm.System: the body runs once, directly.
 func (s *System) Atomic(thread int, body func(tm.Tx)) {
-	body(&tx{s: s, thread: thread})
+	s.tx.thread = thread
+	body(&s.tx)
 	s.stats.Shard(thread).CommitsSW.Inc()
 }
