@@ -62,8 +62,9 @@ type Policy struct {
 	// disables priority bidding — and age-ticket issuance entirely.
 	StarveThreshold int
 	// LemmingWaitSpins bounds the pre-attempt wait on the gate; a waiter
-	// that exceeds the (jittered) bound escalates to the slow path instead
-	// of feeding the lemming convoy. Zero means wait unbounded.
+	// that exceeds the (jittered) bound, and has waited out two mean
+	// slow-path run times, escalates to the slow path instead of feeding
+	// the lemming convoy. Zero means wait unbounded.
 	LemmingWaitSpins int
 	// DegradeThreshold is the contention-pressure level at which the
 	// runner enters the degraded serialized mode (every transaction goes
@@ -256,6 +257,10 @@ type Runner struct {
 	prio      atomic.Uint64
 	pressure  atomic.Int64
 	degraded  atomic.Bool
+	// slowNS is a running mean of this runner's slow-path run times: a
+	// bounded lemming wait does not give up on the gate before it has been
+	// held for two of them (see awaitGate).
+	slowNS atomic.Int64
 }
 
 // New creates a Runner over the system's stats. gateFree may be nil when
@@ -603,10 +608,22 @@ func (r *Runner) Run(id int, txn *Txn) {
 // runSlow runs the guaranteed level and accounts the commit.
 func (r *Runner) runSlow(t *Thread, txn *Txn) {
 	t.TraceEvent(trace.EvPathSlow, 0)
+	start := trace.Now()
 	txn.Slow()
+	r.noteSlow(trace.Now() - start)
 	t.sh.CommitsGL.Inc()
 	t.lastPath = trace.PathGL
 	t.traceCommit(trace.PathGL)
+}
+
+// noteSlow folds one slow-path run time into slowNS (weight 1/4). The
+// load/store pair is not atomic as a whole: a racing update may be lost,
+// which only delays the mean by one sample.
+func (r *Runner) noteSlow(ns int64) {
+	if old := r.slowNS.Load(); old > 0 {
+		ns = old + (ns-old)/4
+	}
+	r.slowNS.Store(ns)
 }
 
 // cmBegin opens one transaction's contention-manager scope: a fresh age
@@ -690,6 +707,14 @@ func (r *Runner) bidPriority(t *Thread) bool {
 // zero the wait is unbounded. A nil gate is always open. The lemming
 // enter/exit events are recorded only when the gate actually blocks, so
 // the gate-open common case stays one function call.
+//
+// The bounded wait also outlasts one slow-path run: it expires only once
+// the gate has been held for two mean slow-path run times (slowNS) as
+// well as for the spin bound. A waiter behind one long holder would only
+// queue on the same lock if it escalated, and then run serially instead
+// of optimistically; a convoy — the gate handed from holder to holder and
+// never seen open — still expires the wait after two run times. Before
+// any slow path has run the spin bound alone applies.
 func (r *Runner) awaitGate(t *Thread) bool {
 	if r.gateFree == nil || r.gateFree() {
 		return true
@@ -704,10 +729,17 @@ func (r *Runner) awaitGate(t *Thread) bool {
 	} else {
 		limit := spins + int(t.rng()%uint64(spins/4+1))
 		ok = false
-		for i := 1; i < limit; i++ {
+		var since int64
+		if r.slowNS.Load() > 0 {
+			since = trace.Now()
+		}
+		for i := 1; ; i++ {
 			runtime.Gosched()
 			if r.gateFree() {
 				ok = true
+				break
+			}
+			if i >= limit-1 && (since == 0 || trace.Now()-since > 2*r.slowNS.Load()) {
 				break
 			}
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -127,6 +128,41 @@ func TestLemmingEscalates(t *testing.T) {
 	snap := st.Snapshot()
 	if snap.EscalationsLemming != 1 || snap.CommitsGL != 1 {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+}
+
+// TestLemmingWaitOutlastsOneSlowPath: a bounded wait must not expire while
+// the gate has been held for less than two mean slow-path run times — the
+// waiter runs optimistically once the holder leaves — and must still
+// expire, after those two run times, behind a gate that stays held.
+func TestLemmingWaitOutlastsOneSlowPath(t *testing.T) {
+	var st tm.Stats
+	var held atomic.Bool
+	held.Store(true)
+	r := New(Policy{FastAttempts: 1, LemmingWaitSpins: 8}, &st,
+		func() bool { return !held.Load() })
+	const slowRun = 50 * time.Millisecond
+	r.noteSlow(int64(slowRun))
+	fast, slow := 0, 0
+	txn := &Txn{
+		Fast: func() htm.Result { fast++; return htm.Result{Committed: true} },
+		Slow: func() { slow++ },
+	}
+	time.AfterFunc(slowRun/5, func() { held.Store(false) })
+	r.Run(0, txn)
+	if fast != 1 || slow != 0 {
+		t.Fatalf("fast = %d, slow = %d: the waiter gave up on a gate held for a fifth of a slow-path run", fast, slow)
+	}
+
+	held.Store(true)
+	start := time.Now()
+	r.Run(0, txn)
+	if el := time.Since(start); el < 2*slowRun {
+		t.Fatalf("wait expired after %v, before two mean slow-path runs (%v)", el, 2*slowRun)
+	}
+	snap := st.Snapshot()
+	if fast != 1 || slow != 1 || snap.EscalationsLemming != 1 || snap.CommitsGL != 1 {
+		t.Fatalf("fast = %d, slow = %d, snapshot = %+v", fast, slow, snap)
 	}
 }
 

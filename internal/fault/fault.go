@@ -313,10 +313,13 @@ type threadState struct {
 // phaseState is the campaign position, published as one immutable value so
 // concurrent draws never see a phase index paired with another phase's
 // clock base. start is the last begin tick of the previous phase: ticks
-// start+1, start+2, ... are phase-relative ticks 1, 2, ...
+// start+1, start+2, ... are phase-relative ticks 1, 2, ... prev is the
+// state this one replaced, so a tick drawn before an advance can still be
+// resolved against the phase it falls in.
 type phaseState struct {
 	idx   int
 	start uint64
+	prev  *phaseState
 }
 
 // Injector decides, per protocol site and thread, whether to inject a
@@ -396,7 +399,7 @@ func (in *Injector) AdvancePhase() int {
 		if ps.idx+1 >= len(in.cfg.Campaign) {
 			return ps.idx
 		}
-		next := &phaseState{idx: ps.idx + 1, start: in.clock.Load()}
+		next := &phaseState{idx: ps.idx + 1, start: in.clock.Load(), prev: ps}
 		if in.phase.CompareAndSwap(ps, next) {
 			return next.idx
 		}
@@ -406,14 +409,15 @@ func (in *Injector) AdvancePhase() int {
 // advancePhases applies begin-budget auto-advance at tick: while the
 // current phase has a Begins budget and tick lies past it, step to the
 // next phase with a deterministic clock base (start + Begins), so the
-// transition tick is the same no matter which thread draws it.
+// transition tick is the same no matter which thread draws it. A tick at
+// or before the current phase's start advances nothing.
 func (in *Injector) advancePhases(ps *phaseState, tick uint64) *phaseState {
 	for {
 		ph := &in.cfg.Campaign[ps.idx]
-		if ph.Begins == 0 || tick-ps.start <= ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
+		if ph.Begins == 0 || tick <= ps.start || tick-ps.start <= ph.Begins || ps.idx+1 >= len(in.cfg.Campaign) {
 			return ps
 		}
-		next := &phaseState{idx: ps.idx + 1, start: ps.start + ph.Begins}
+		next := &phaseState{idx: ps.idx + 1, start: ps.start + ph.Begins, prev: ps}
 		if in.phase.CompareAndSwap(ps, next) {
 			ps = next
 		} else {
@@ -470,12 +474,17 @@ func (in *Injector) Draw(site Site, thread int) (Reason, uint8, bool) {
 		tick := in.clock.Add(1)
 		if ps := in.phase.Load(); ps != nil {
 			ps = in.advancePhases(ps, tick)
+			// A thread descheduled between drawing its tick and loading
+			// the phase can find the campaign already past the phase its
+			// tick falls in (other threads' ticks advanced it, or a manual
+			// AdvancePhase did): draw under that earlier phase, so each
+			// phase sees exactly its own ticks.
+			for tick <= ps.start && ps.prev != nil {
+				ps = ps.prev
+			}
 			ph := &in.cfg.Campaign[ps.idx]
 			rates, storms, base = &ph.Rates, ph.Storms, ps.start
 		}
-		// A manual AdvancePhase can set base at the current clock while a
-		// slower thread still holds an earlier tick; such stragglers fall
-		// outside the new phase's storm window rather than wrapping.
 		if tick > base {
 			pt := tick - base
 			for i := range storms {

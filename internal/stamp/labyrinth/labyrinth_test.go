@@ -63,27 +63,26 @@ func TestValidateDetectsDisconnectedPath(t *testing.T) {
 	sys := seq.New(mem.New(app.MemWords() + 1<<12))
 	app.Setup(sys)
 	app.Run(1)
-	// Break one routed path in the middle.
-	var victim uint64
-	app.routed.Range(func(k, _ any) bool {
-		victim = uint64(k.(int))
-		return false
-	})
+	// Break one routed path in the middle: the lowest-numbered routed path
+	// that has an interior cell (a path between adjacent cells has none).
 	m := sys.Memory()
 	broke := false
-	for c := 0; c < cfg.W*cfg.H && !broke; c++ {
-		a := app.grid + mem.Addr(c)
-		if m.Load(a) == victim {
-			p, _ := app.routed.Load(int(victim))
-			pp := p.(pair)
-			if c != app.cell(pp.sx, pp.sy) && c != app.cell(pp.dx, pp.dy) {
+	for id := 1; id <= cfg.Pairs && !broke; id++ {
+		p, ok := app.routed.Load(id)
+		if !ok {
+			continue
+		}
+		pp := p.(pair)
+		for c := 0; c < cfg.W*cfg.H && !broke; c++ {
+			a := app.grid + mem.Addr(c)
+			if m.Load(a) == uint64(id) && c != app.cell(pp.sx, pp.sy) && c != app.cell(pp.dx, pp.dy) {
 				m.Store(a, 0)
 				broke = true
 			}
 		}
 	}
 	if !broke {
-		t.Skip("victim path has no interior cell")
+		t.Skip("no routed path has an interior cell")
 	}
 	if err := app.Validate(); err == nil {
 		t.Fatal("Validate accepted a broken path")
